@@ -1,16 +1,25 @@
 package crosscheck
 
 import (
+	"fmt"
 	"testing"
 
 	"visibility/internal/core"
+	"visibility/internal/fault"
 	"visibility/internal/field"
 	"visibility/internal/geometry"
 	"visibility/internal/index"
 	"visibility/internal/privilege"
+	"visibility/internal/raycast"
 	"visibility/internal/region"
+	"visibility/internal/testutil"
 	"visibility/internal/warnock"
 )
+
+// migrateAfter mirrors the ray-casting analyzer's migration threshold:
+// the number of consecutive launches on another disjoint-complete
+// partition after which its sets are re-bucketed.
+const migrateAfter = 8
 
 // Targeted scenarios that stress specific algorithm mechanisms beyond the
 // random streams: deep nesting, root-region writes, partition migration,
@@ -124,6 +133,105 @@ func TestPartitionMigrationStream(t *testing.T) {
 		}
 	}
 	verifyAll(t, s)
+}
+
+// migrationTree builds the fixture of the re-bucketing tests: root [0,11],
+// disjoint-complete partitions P and Q with different piece boundaries,
+// and a disjoint-incomplete partition D, which never triggers migration.
+func migrationTree() (tree *region.Tree, p, q, d *region.Partition) {
+	fs := field.NewSpace()
+	fs.Add("v")
+	tree = region.NewTree("A", index.FromRect(geometry.R1(0, 11)), fs)
+	p = tree.Root.Partition("P", []index.Space{
+		index.FromRect(geometry.R1(0, 5)),
+		index.FromRect(geometry.R1(6, 11)),
+	})
+	q = tree.Root.Partition("Q", []index.Space{
+		index.FromRect(geometry.R1(0, 1)),
+		index.FromRect(geometry.R1(2, 9)),
+		index.FromRect(geometry.R1(10, 11)),
+	})
+	d = tree.Root.Partition("D", []index.Space{index.FromRect(geometry.R1(2, 9))})
+	return tree, p, q, d
+}
+
+// TestMigrationBetweenRequirements re-buckets the ray-casting analyzer
+// between two requirements of one task: the write of D[0] holds the sets
+// it refined under P when the read of Q[2] completes the migration to Q.
+// The write must still commit into the live (re-bucketed) sets.
+func TestMigrationBetweenRequirements(t *testing.T) {
+	tree, p, q, d := migrationTree()
+	s := core.NewStream(tree)
+	s.Launch("wp0", core.Req{Region: p.Subregions[0], Field: 0, Priv: privilege.Writes()})
+	s.Launch("wp1", core.Req{Region: p.Subregions[1], Field: 0, Priv: privilege.Writes()})
+	for k := 0; k < migrateAfter-1; k++ {
+		s.Launch("rq", core.Req{Region: q.Subregions[k%3], Field: 0, Priv: privilege.Reads()})
+	}
+	s.Launch("x",
+		core.Req{Region: d.Subregions[0], Field: 0, Priv: privilege.Writes()},
+		core.Req{Region: q.Subregions[2], Field: 0, Priv: privilege.Reads()})
+	s.Launch("after", core.Req{Region: d.Subregions[0], Field: 0, Priv: privilege.Reads()})
+
+	// The fixture must complete the migration inside x, not before it.
+	rc := raycast.New(tree, core.Options{})
+	for _, task := range s.Tasks {
+		if task.Name == "x" && rc.CurrentPartition(0) != p {
+			t.Fatalf("migrated before x: partition = %v, want P", rc.CurrentPartition(0))
+		}
+		rc.Analyze(task)
+	}
+	if rc.CurrentPartition(0) != q {
+		t.Fatalf("partition after x = %v, want Q", rc.CurrentPartition(0))
+	}
+	verifyAll(t, s)
+}
+
+// TestForcedRebucketBetweenRequirements covers the same hazard on the
+// fault plane: an even analyzer.eqset.migrate payload re-buckets against
+// the current partition between the two requirements of task x. The
+// live sets must still partition the root afterwards.
+func TestForcedRebucketBetweenRequirements(t *testing.T) {
+	tree, p, q, d := migrationTree()
+	s := core.NewStream(tree)
+	s.Launch("wp0", core.Req{Region: p.Subregions[0], Field: 0, Priv: privilege.Writes()})
+	s.Launch("wp1", core.Req{Region: p.Subregions[1], Field: 0, Priv: privilege.Writes()})
+	x := s.Launch("x",
+		core.Req{Region: d.Subregions[0], Field: 0, Priv: privilege.Writes()},
+		core.Req{Region: q.Subregions[2], Field: 0, Priv: privilege.Reads()})
+	s.Launch("after", core.Req{Region: d.Subregions[0], Field: 0, Priv: privilege.Reads()})
+
+	// Fire on x's second requirement; take the first plan seed whose
+	// payload is even (re-bucket against the same partition, not K-d).
+	var plan string
+	for seed := 1; plan == ""; seed++ {
+		cand := fmt.Sprintf("seed=%d;analyzer.eqset.migrate=every=2,arg=%d", seed, x.ID)
+		probe, err := fault.NewFromString(cand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe.FireValue(fault.EqMigrate, int64(x.ID))
+		if _, v := probe.FireValue(fault.EqMigrate, int64(x.ID)); v&1 == 0 {
+			plan = cand
+		}
+	}
+	var rc *raycast.RayCast
+	err := core.Verify(s, fullInit(tree), core.HashKernel{}, core.Factory{Name: "raycast-rebucket", New: func(tr *region.Tree) core.Analyzer {
+		faults, err := fault.NewFromString(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc = raycast.New(tr, core.Options{Faults: faults})
+		return rc
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.CurrentPartition(0) != p {
+		t.Fatalf("bucket partition = %v, want P", rc.CurrentPartition(0))
+	}
+	if err := testutil.CheckPartitionInvariant(rc.SetSpaces(0), tree.Root.Space); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestKDFallbackStream runs a full mixed stream on a tree with no

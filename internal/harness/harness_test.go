@@ -1,6 +1,9 @@
 package harness_test
 
 import (
+	"fmt"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -396,6 +399,62 @@ func TestSweepReps(t *testing.T) {
 		}
 		if reps[i].Reps != 2 {
 			t.Errorf("cell %d Reps = %d, want 2", i, reps[i].Reps)
+		}
+	}
+}
+
+// TestFiguresMatchCommittedResults holds the virtual-time numbers behind
+// Figures 12–17 exact: regenerating the figure output of
+// `visbench -max-nodes 32` must reproduce, byte for byte, every line of
+// results/figures_512.txt except the rows for more than 32 nodes.
+func TestFiguresMatchCommittedResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps three apps over five configurations")
+	}
+	const maxNodes = 32
+	committed, err := os.ReadFile("../../results/figures_512.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, line := range strings.SplitAfter(string(committed), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			if n, err := strconv.Atoi(f[0]); err == nil && n > maxNodes {
+				continue
+			}
+		}
+		want.WriteString(line)
+	}
+
+	// The same figure loop as cmd/visbench with its default -iters 3.
+	var got strings.Builder
+	figure := harness.Figures()
+	for _, name := range []string{"stencil", "circuit", "pennant"} {
+		builder, _ := apps.Lookup(name)
+		results, err := harness.SweepReps(builder, name, maxNodes, 3, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []string{"init", "weak"} {
+			fmt.Fprintf(&got, "\n== %s: %s ==\n", figure[name][m], name)
+			if err := harness.WriteFigure(&got, results, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got.String() != want.String() {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(want.String(), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("figure output line %d:\n got  %q\n want %q", i+1, g, w)
+			}
 		}
 	}
 }

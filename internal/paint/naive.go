@@ -15,7 +15,6 @@ package paint
 import (
 	"visibility/internal/core"
 	"visibility/internal/field"
-	"visibility/internal/privilege"
 	"visibility/internal/region"
 )
 
@@ -24,6 +23,7 @@ import (
 type Naive struct {
 	tree *region.Tree
 	opts core.Options
+	an   core.Analysis
 	// hist is the per-field paint history, appended by every Analyze with
 	// no lock: the analyzer runs on exactly one goroutine.
 	//
@@ -35,7 +35,9 @@ type Naive struct {
 
 // NewNaive creates a naive painter for tree.
 func NewNaive(tree *region.Tree, opts core.Options) *Naive {
-	return &Naive{tree: tree, opts: opts.Normalize(), hist: make(map[field.ID][]core.Entry)}
+	n := &Naive{tree: tree, opts: opts.Normalize(), hist: make(map[field.ID][]core.Entry)}
+	n.an = core.NewAnalysis(n.Name(), n.opts, &n.stats)
+	return n
 }
 
 // Name implements core.Analyzer.
@@ -58,58 +60,33 @@ func (n *Naive) histFor(f field.ID) []core.Entry {
 // Analyze implements core.Analyzer.
 //
 // confined to analyzer
-func (n *Naive) Analyze(t *Task) *core.Result {
-	span := n.opts.Spans.Begin("paint-naive.analyze", "analysis")
-	defer span.End()
-	n.stats.Launches++
-	var deps []int
-	plans := make([][]core.Visible, len(t.Reqs))
+func (n *Naive) Analyze(t *Task) *core.Result { return n.an.Run(t, n) }
 
-	// materialize: replay the full history against each requirement.
-	for ri, req := range t.Reqs {
-		if req.Region.Space.IsEmpty() {
-			// No points: every intersection below would be empty, so skip
-			// the scan (and don't charge the cost model for it).
-			continue
+// Materialize implements core.Phases: it replays the full history against
+// the requirement.
+//
+// confined to analyzer
+func (n *Naive) Materialize(t *Task, ri int) {
+	sp := t.Reqs[ri].Region.Space
+	h := n.histFor(t.Reqs[ri].Field)
+	for _, e := range h {
+		n.stats.EntriesScanned++
+		n.stats.OverlapTests++
+		if inter := e.Pts.Intersect(sp); !inter.IsEmpty() {
+			n.an.See(ri, e, inter)
 		}
-		h := n.histFor(req.Field)
-		var plan []core.Visible
-		for _, e := range h {
-			n.stats.EntriesScanned++
-			n.stats.OverlapTests++
-			inter := e.Pts.Intersect(req.Region.Space)
-			if inter.IsEmpty() {
-				continue
-			}
-			if privilege.Interferes(e.Priv, req.Priv) {
-				deps = append(deps, e.Task)
-				n.stats.DepsReported++
-				if n.opts.Prov != nil && e.Task != core.InitialTask {
-					n.opts.Prov.AddReason(core.EdgeReason{
-						Src: e.Task, Dst: t.ID, Kind: core.ReasonRegion, Analyzer: "paint-naive",
-						SrcReq: e.Req, DstReq: ri, Field: req.Field,
-						SrcPriv: e.Priv, DstPriv: req.Priv, Overlap: inter.Bounds(), Trace: -1,
-					})
-				}
-			}
-			if !req.Priv.IsReduce() && e.Priv.Mutates() {
-				plan = append(plan, core.Visible{Task: e.Task, Req: e.Req, Priv: e.Priv, Pts: inter})
-			}
-		}
-		n.opts.Probe.Touch(n.opts.Owner(n.tree.Root.Space), int64(len(h)))
-		plans[ri] = plan
 	}
+	n.opts.Probe.Touch(n.opts.Owner(n.tree.Root.Space), int64(len(h)))
+}
 
-	// commit: append this task's operations to the history.
-	for ri, req := range t.Reqs {
-		if req.Region.Space.IsEmpty() {
-			continue
-		}
-		n.hist[req.Field] = append(n.histFor(req.Field),
-			core.Entry{Task: t.ID, Req: ri, Priv: req.Priv, Pts: req.Region.Space})
-	}
-
-	return &core.Result{Deps: core.DedupDeps(deps), Plans: plans}
+// Commit implements core.Phases: it appends the task's operation to the
+// history.
+//
+// confined to analyzer
+func (n *Naive) Commit(t *Task, ri int) {
+	req := t.Reqs[ri]
+	n.hist[req.Field] = append(n.histFor(req.Field),
+		core.Entry{Task: t.ID, Req: ri, Priv: req.Priv, Pts: req.Region.Space})
 }
 
 // Task is re-exported for brevity inside this package.

@@ -20,6 +20,7 @@ import (
 type Painter struct {
 	tree *region.Tree
 	opts core.Options
+	an   core.Analysis
 	// state holds the per-field paint histories, mutated by every Analyze
 	// with no lock: the analyzer runs on exactly one goroutine (the
 	// submit side, §3.2).
@@ -43,7 +44,9 @@ type Painter struct {
 
 // NewPainter creates an optimized painter for tree.
 func NewPainter(tree *region.Tree, opts core.Options) *Painter {
-	return &Painter{tree: tree, opts: opts.Normalize(), state: make(map[field.ID]*fieldState)}
+	pa := &Painter{tree: tree, opts: opts.Normalize(), state: make(map[field.ID]*fieldState)}
+	pa.an = core.NewAnalysis(pa.Name(), pa.opts, &pa.stats)
+	return pa
 }
 
 // Name implements core.Analyzer.
@@ -144,97 +147,82 @@ type pathStep struct {
 // Analyze implements core.Analyzer.
 //
 // confined to analyzer
-func (pa *Painter) Analyze(t *core.Task) *core.Result {
-	span := pa.opts.Spans.Begin("paint.analyze", "analysis")
-	defer span.End()
-	pa.stats.Launches++
-	var deps []int
-	plans := make([][]core.Visible, len(t.Reqs))
+func (pa *Painter) Analyze(t *core.Task) *core.Result { return pa.an.Run(t, pa) }
 
-	for ri, req := range t.Reqs {
-		if req.Region.Space.IsEmpty() {
-			// No points: nothing can interfere, nothing materializes, and
-			// hoisting for an empty requirement moves nothing. Common under
-			// sharding, where a requirement's restriction to most atoms is
-			// empty, and for clipped boundary halos.
+// Materialize implements core.Phases.
+//
+// confined to analyzer
+func (pa *Painter) Materialize(t *core.Task, ri int) {
+	req := t.Reqs[ri]
+	fs := pa.fieldFor(req.Field)
+	path := pa.pathOf(req.Region)
+
+	// Step 1 (§5.1): hoist interfering open off-path subtrees into
+	// composite views at their common ancestor with R.
+	hoist := pa.opts.Spans.Begin("paint.hoist", "analysis")
+	for _, step := range path {
+		pa.hoistChildren(fs, step, req)
+	}
+	hoist.End()
+
+	// Step 2: materialize by traversing the path history in order.
+	// Interference testing against every (possibly nested) entry is the
+	// painter's per-launch cost, which grows with the machine as
+	// composite views accumulate children (§8.2); it is charged where the
+	// history lives.
+	scan := pa.opts.Spans.Begin("paint.scan", "analysis")
+	for _, step := range path {
+		ns := fs.node(step.key)
+		if len(ns.hist) == 0 {
 			continue
 		}
-		fs := pa.fieldFor(req.Field)
-		path := pa.pathOf(req.Region)
-
-		// Step 1 (§5.1): hoist interfering open off-path subtrees into
-		// composite views at their common ancestor with R.
-		hoist := pa.opts.Spans.Begin("paint.hoist", "analysis")
-		for _, step := range path {
-			pa.hoistChildren(fs, step, req)
-		}
-		hoist.End()
-
-		// Step 2: materialize by traversing the path history in order.
-		// Interference testing against every (possibly nested) entry is
-		// the painter's per-launch cost, which grows with the machine as
-		// composite views accumulate children (§8.2); it is charged where
-		// the history lives.
-		scan := pa.opts.Spans.Begin("paint.scan", "analysis")
-		var plan []core.Visible
-		for _, step := range path {
-			ns := fs.node(step.key)
-			if len(ns.hist) == 0 {
-				continue
-			}
-			before := pa.stats.EntriesScanned
-			deps, plan = pa.scanItems(ns.hist, req, t.ID, ri, deps, plan)
-			pa.opts.Probe.Touch(core.LocalOwner, pa.stats.EntriesScanned-before+1)
-		}
-		scan.End()
-		if req.Priv.IsReduce() {
-			plan = nil
-		}
-		// Path order concatenates per-node histories, so entries from
-		// hoisted views can interleave out of program order. That is legal
-		// for non-interfering operations in exact arithmetic, but two
-		// same-op reductions over the same points applied in a different
-		// order than the sequential interpreter differ in the last ulp for
-		// float sum/product. Restoring global program order (stable on
-		// task, then requirement) keeps interfering pairs where the history
-		// already put them and makes materialization byte-exact.
-		sort.SliceStable(plan, func(i, j int) bool {
-			if plan[i].Task != plan[j].Task {
-				return plan[i].Task < plan[j].Task
-			}
-			return plan[i].Req < plan[j].Req
-		})
-		plans[ri] = plan
+		before := pa.stats.EntriesScanned
+		pa.scanItems(ns.hist, ri, req.Region.Space)
+		pa.opts.Probe.Touch(core.LocalOwner, pa.stats.EntriesScanned-before+1)
 	}
+	scan.End()
+	// Path order concatenates per-node histories, so entries from hoisted
+	// views can interleave out of program order. That is legal for
+	// non-interfering operations in exact arithmetic, but two same-op
+	// reductions over the same points applied in a different order than
+	// the sequential interpreter differ in the last ulp for float
+	// sum/product. Restoring global program order (stable on task, then
+	// requirement) keeps interfering pairs where the history already put
+	// them and makes materialization byte-exact.
+	plan := pa.an.Plan(ri)
+	sort.SliceStable(plan, func(i, j int) bool {
+		if plan[i].Task != plan[j].Task {
+			return plan[i].Task < plan[j].Task
+		}
+		return plan[i].Req < plan[j].Req
+	})
+}
 
-	// commit: record this task's operations at its regions and prune
-	// occluded items.
-	for ri, req := range t.Reqs {
-		if req.Region.Space.IsEmpty() {
-			continue
-		}
-		fs := pa.fieldFor(req.Field)
-		path := pa.pathOf(req.Region)
-		leaf := fs.node(regionKey(req.Region))
-		if req.Priv.IsWrite() && !pa.DisablePruning {
-			// A full write of this region occludes everything recorded
-			// here: all prior items at this node have points within the
-			// region's space.
-			pa.stats.ItemsPruned += int64(len(leaf.hist))
-			leaf.hist = leaf.hist[:0]
-		}
-		leaf.hist = append(leaf.hist, item{entry: core.Entry{
-			Task: t.ID, Req: ri, Priv: req.Priv, Pts: req.Region.Space,
-		}})
-		pa.opts.Probe.Touch(pa.opts.Owner(req.Region.Space), 1)
-		for _, step := range path {
-			ns := fs.node(step.key)
-			ns.open = true
-			ns.summary.Add(req.Priv)
-		}
+// Commit implements core.Phases: it records the task's operation at its
+// region and prunes occluded items.
+//
+// confined to analyzer
+func (pa *Painter) Commit(t *core.Task, ri int) {
+	req := t.Reqs[ri]
+	fs := pa.fieldFor(req.Field)
+	path := pa.pathOf(req.Region)
+	leaf := fs.node(regionKey(req.Region))
+	if req.Priv.IsWrite() && !pa.DisablePruning {
+		// A full write of this region occludes everything recorded here:
+		// all prior items at this node have points within the region's
+		// space.
+		pa.stats.ItemsPruned += int64(len(leaf.hist))
+		leaf.hist = leaf.hist[:0]
 	}
-
-	return &core.Result{Deps: core.DedupDeps(deps), Plans: plans}
+	leaf.hist = append(leaf.hist, item{entry: core.Entry{
+		Task: t.ID, Req: ri, Priv: req.Priv, Pts: req.Region.Space,
+	}})
+	pa.opts.Probe.Touch(pa.opts.Owner(req.Region.Space), 1)
+	for _, step := range path {
+		ns := fs.node(step.key)
+		ns.open = true
+		ns.summary.Add(req.Priv)
+	}
 }
 
 // hoistChildren snapshots every open, overlapping, interfering child
@@ -373,9 +361,8 @@ func (pa *Painter) partitionByID(id int) *region.Partition {
 }
 
 // scanItems traverses history items in order, expanding composite views,
-// collecting dependences and plan entries for req. dst and ri identify the
-// launch and requirement being materialized.
-func (pa *Painter) scanItems(items []item, req core.Req, dst, ri int, deps []int, plan []core.Visible) ([]int, []core.Visible) {
+// and reports every entry overlapping sp, the points of requirement ri.
+func (pa *Painter) scanItems(items []item, ri int, sp index.Space) {
 	for _, it := range items {
 		if it.view != nil {
 			pa.stats.OverlapTests++
@@ -383,35 +370,18 @@ func (pa *Painter) scanItems(items []item, req core.Req, dst, ri int, deps []int
 			// first traversal by each analyzing node fetches the whole
 			// view from its home; later traversals are cached locally.
 			pa.opts.Probe.Fetch(it.view.home, it.view.id, int64(it.view.count))
-			if !it.view.pts.Overlaps(req.Region.Space) {
-				continue
+			if it.view.pts.Overlaps(sp) {
+				pa.scanItems(it.view.items, ri, sp)
 			}
-			deps, plan = pa.scanItems(it.view.items, req, dst, ri, deps, plan)
 			continue
 		}
 		e := it.entry
 		pa.stats.EntriesScanned++
 		pa.stats.OverlapTests++
-		inter := e.Pts.Intersect(req.Region.Space)
-		if inter.IsEmpty() {
-			continue
-		}
-		if privilege.Interferes(e.Priv, req.Priv) {
-			deps = append(deps, e.Task)
-			pa.stats.DepsReported++
-			if pa.opts.Prov != nil && e.Task != core.InitialTask {
-				pa.opts.Prov.AddReason(core.EdgeReason{
-					Src: e.Task, Dst: dst, Kind: core.ReasonRegion, Analyzer: "paint",
-					SrcReq: e.Req, DstReq: ri, Field: req.Field,
-					SrcPriv: e.Priv, DstPriv: req.Priv, Overlap: inter.Bounds(), Trace: -1,
-				})
-			}
-		}
-		if !req.Priv.IsReduce() && e.Priv.Mutates() {
-			plan = append(plan, core.Visible{Task: e.Task, Req: e.Req, Priv: e.Priv, Pts: inter})
+		if inter := e.Pts.Intersect(sp); !inter.IsEmpty() {
+			pa.an.See(ri, e, inter)
 		}
 	}
-	return deps, plan
 }
 
 // prune removes items whose recorded points are entirely covered by cover

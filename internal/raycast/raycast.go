@@ -25,7 +25,6 @@ import (
 	"visibility/internal/field"
 	"visibility/internal/index"
 	"visibility/internal/obs/recorder"
-	"visibility/internal/privilege"
 	"visibility/internal/region"
 )
 
@@ -33,10 +32,12 @@ import (
 // disjoint-complete partition before the equivalence sets are re-bucketed.
 const migrateAfter = 8
 
-// RayCast is the ray-casting coherence analyzer of §7.
+// RayCast is the ray-casting coherence analyzer of §7: the shared
+// equivalence-set engine over partition buckets, with dominating writes.
 type RayCast struct {
 	tree *region.Tree
 	opts core.Options
+	eng  *core.EqEngine[loc]
 	// state holds the per-field interval lists and acceleration indexes,
 	// mutated by every Analyze with no lock: the analyzer runs on exactly
 	// one goroutine (the submit side, §3.2).
@@ -49,7 +50,9 @@ type RayCast struct {
 
 // New creates a ray-casting analyzer for tree.
 func New(tree *region.Tree, opts core.Options) *RayCast {
-	return &RayCast{tree: tree, opts: opts.Normalize(), state: make(map[field.ID]*fieldState)}
+	rc := &RayCast{tree: tree, opts: opts.Normalize(), state: make(map[field.ID]*fieldState)}
+	rc.eng = core.NewEqEngine[loc](rc.Name(), rc.opts, &rc.stats, rc)
+	return rc
 }
 
 // Name implements core.Analyzer.
@@ -60,15 +63,23 @@ func (rc *RayCast) Name() string { return "raycast" }
 // confined to analyzer
 func (rc *RayCast) Stats() *core.Stats { return &rc.stats }
 
-type eqset struct {
+// Analyze implements core.Analyzer.
+//
+// confined to analyzer
+func (rc *RayCast) Analyze(t *core.Task) *core.Result { return rc.eng.Analyze(t) }
+
+type eqset = core.EqSet[loc]
+
+// loc places a set in the acceleration structure.
+type loc struct {
 	id     int
-	pts    index.Space
-	hist   []core.Entry
-	bucket int  // owning DCP piece index; -1 in K-d mode
-	dead   bool // replaced by refinement or pruned by a dominating write
+	bucket int // owning DCP piece index; -1 in K-d mode
 }
 
+// fieldState is one field's acceleration structure and the sets stored in
+// it, the core.EqIndex of ray casting.
 type fieldState struct {
+	rc     *RayCast
 	nextID int
 
 	// Disjoint-complete-partition mode.
@@ -88,20 +99,7 @@ type fieldState struct {
 // EquivalenceSets returns the number of live equivalence sets for field f.
 //
 // confined to analyzer
-func (rc *RayCast) EquivalenceSets(f field.ID) int {
-	fs, ok := rc.state[f]
-	if !ok {
-		return 1
-	}
-	if fs.dcp == nil {
-		return len(fs.kdSets)
-	}
-	n := 0
-	for _, b := range fs.buckets {
-		n += len(b)
-	}
-	return n
-}
+func (rc *RayCast) EquivalenceSets(f field.ID) int { return len(rc.SetSpaces(f)) }
 
 // SetSpaces returns the point sets of the live equivalence sets for field
 // f, for invariant checks in tests.
@@ -113,16 +111,8 @@ func (rc *RayCast) SetSpaces(f field.ID) []index.Space {
 		return []index.Space{rc.tree.Root.Space}
 	}
 	var out []index.Space
-	if fs.dcp == nil {
-		for _, id := range sortedIntKeys(fs.kdSets) {
-			out = append(out, fs.kdSets[id].pts)
-		}
-		return out
-	}
-	for _, b := range fs.buckets {
-		for _, s := range b {
-			out = append(out, s.pts)
-		}
+	for _, s := range fs.sets() {
+		out = append(out, s.Pts)
 	}
 	return out
 }
@@ -138,16 +128,23 @@ func (rc *RayCast) CurrentPartition(f field.ID) *region.Partition {
 	return nil
 }
 
-func (rc *RayCast) fieldFor(f field.ID, hint *region.Region) *fieldState {
-	fs, ok := rc.state[f]
-	if ok {
-		return fs
+// Index implements core.EqFields: it also runs the migration heuristic
+// for req's region, and the EqMigrate fault site, before req materializes.
+//
+// confined to analyzer
+func (rc *RayCast) Index(t *core.Task, req core.Req) core.EqIndex[loc] {
+	fs, ok := rc.state[req.Field]
+	if !ok {
+		fs = &fieldState{rc: rc}
+		root := rc.tree.Root.Space
+		seed := &eqset{Pts: root, Hist: []core.Entry{core.SeedEntry(root)}}
+		fs.installAccel(rc.chooseDCP(req.Region), []*eqset{seed})
+		rc.state[req.Field] = fs
 	}
-	fs = &fieldState{}
-	root := rc.tree.Root.Space
-	seed := &eqset{pts: root, hist: []core.Entry{core.SeedEntry(root)}}
-	rc.installAccel(fs, rc.chooseDCP(hint), []*eqset{seed})
-	rc.state[f] = fs
+	fs.maybeMigrate(req.Region)
+	if fired, v := rc.opts.Faults.FireValue(fault.EqMigrate, int64(t.ID)); fired {
+		fs.forceMigrate(v)
+	}
 	return fs
 }
 
@@ -181,23 +178,32 @@ func (rc *RayCast) chooseDCP(hint *region.Region) *region.Partition {
 	return nil
 }
 
+// sets returns the live sets: in bucket order, or by id in K-d mode.
+func (fs *fieldState) sets() []*eqset {
+	var all []*eqset
+	if fs.dcp == nil {
+		for _, id := range sortedIntKeys(fs.kdSets) {
+			all = append(all, fs.kdSets[id])
+		}
+		return all
+	}
+	for _, b := range fs.buckets {
+		all = append(all, b...)
+	}
+	return all
+}
+
 // installAccel (re)builds the acceleration structure for dcp (or the K-d
 // fallback when dcp is nil) and distributes sets into it, splitting sets
 // at piece boundaries so each lives in exactly one bucket.
-func (rc *RayCast) installAccel(fs *fieldState, dcp *region.Partition, sets []*eqset) {
-	fs.dcp = dcp
-	fs.misses = 0
-	fs.candidate = nil
-	fs.pieces = nil
-	fs.buckets = nil
-	fs.kd = nil
-	fs.kdSets = nil
-
+func (fs *fieldState) installAccel(dcp *region.Partition, sets []*eqset) {
+	rc := fs.rc
+	*fs = fieldState{rc: rc, nextID: fs.nextID, dcp: dcp}
 	if dcp == nil {
 		fs.kd = bvh.NewKD(rc.tree.Root.Space.Bounds(), 64)
 		fs.kdSets = make(map[int]*eqset)
 		for _, s := range sets {
-			rc.kdInsert(fs, s)
+			fs.insert(s)
 		}
 		return
 	}
@@ -215,32 +221,22 @@ func (rc *RayCast) installAccel(fs *fieldState, dcp *region.Partition, sets []*e
 	fs.pieces = bvh.Build(inputs)
 	fs.buckets = make([][]*eqset, len(dcp.Subregions))
 	for _, s := range sets {
+		// The copies below replace s: a commit still holding s from
+		// materialize must find the copies instead.
+		s.Dead = true
 		for i, sub := range dcp.Subregions {
 			rc.stats.OverlapTests++
-			part := s.pts.Intersect(sub.Space)
-			if part.IsEmpty() {
-				continue
+			if part := s.Pts.Intersect(sub.Space); !part.IsEmpty() {
+				fs.insert(&eqset{Pts: part, Hist: append([]core.Entry(nil), s.Hist...), Loc: loc{bucket: i}})
 			}
-			ns := &eqset{id: fs.nextID, pts: part, hist: append([]core.Entry(nil), s.hist...), bucket: i}
-			fs.nextID++
-			fs.buckets[i] = append(fs.buckets[i], ns)
-			rc.opts.Probe.Touch(rc.opts.Owner(part), 1)
 		}
 	}
 }
 
-func (rc *RayCast) kdInsert(fs *fieldState, s *eqset) {
-	s.id = fs.nextID
-	s.bucket = -1
-	fs.nextID++
-	fs.kdSets[s.id] = s
-	fs.kd.Insert(s.id, s.pts.Bounds())
-	rc.opts.Probe.Touch(rc.opts.Owner(s.pts), 1)
-}
-
 // overlappingBuckets returns the indices of dcp pieces whose contents
 // overlap sp.
-func (rc *RayCast) overlappingBuckets(fs *fieldState, sp index.Space) []int {
+func (fs *fieldState) overlappingBuckets(sp index.Space) []int {
+	rc := fs.rc
 	span := rc.opts.Spans.Begin("raycast.bvh_query", "analysis")
 	defer span.End()
 	var out []int
@@ -255,15 +251,20 @@ func (rc *RayCast) overlappingBuckets(fs *fieldState, sp index.Space) []int {
 	return out
 }
 
-// candidates returns the live sets overlapping sp.
-func (rc *RayCast) candidates(fs *fieldState, sp index.Space) []*eqset {
+// Lookup implements core.EqIndex: it returns the live sets overlapping r's
+// points.
+//
+// confined to analyzer
+func (fs *fieldState) Lookup(r *region.Region) []*eqset {
+	rc := fs.rc
+	sp := r.Space
 	var out []*eqset
 	if fs.dcp != nil {
-		for _, bi := range rc.overlappingBuckets(fs, sp) {
+		for _, bi := range fs.overlappingBuckets(sp) {
 			for _, s := range fs.buckets[bi] {
 				rc.stats.SetsVisited++
 				rc.stats.OverlapTests++
-				if s.pts.Overlaps(sp) {
+				if s.Pts.Overlaps(sp) {
 					out = append(out, s)
 				}
 			}
@@ -275,97 +276,72 @@ func (rc *RayCast) candidates(fs *fieldState, sp index.Space) []*eqset {
 		s := fs.kdSets[id]
 		rc.stats.SetsVisited++
 		rc.stats.OverlapTests++
-		if s.pts.Overlaps(sp) {
+		if s.Pts.Overlaps(sp) {
 			out = append(out, s)
 		}
-		rc.opts.Probe.Touch(rc.opts.Owner(s.pts), 1)
+		rc.opts.Probe.Touch(rc.opts.Owner(s.Pts), 1)
 	})
 	rc.stats.BVHVisited += int64(visited)
 	rc.opts.Probe.Visit(int64(visited))
 	return out
 }
 
+// Examine implements core.EqIndex: Lookup already charged each bucket.
+func (fs *fieldState) Examine(*eqset) {}
+
+// Refined implements core.EqIndex: buckets keep no per-region state.
+func (fs *fieldState) Refined(*region.Region, []*eqset) {}
+
 // remove deletes s from the acceleration structure.
-func (rc *RayCast) remove(fs *fieldState, s *eqset) {
+func (fs *fieldState) remove(s *eqset) {
 	if fs.dcp != nil {
-		b := fs.buckets[s.bucket]
+		b := fs.buckets[s.Loc.bucket]
 		for i, x := range b {
 			if x == s {
 				b[i] = b[len(b)-1]
-				fs.buckets[s.bucket] = b[:len(b)-1]
+				fs.buckets[s.Loc.bucket] = b[:len(b)-1]
 				return
 			}
 		}
 		return
 	}
-	fs.kd.Remove(s.id)
-	delete(fs.kdSets, s.id)
+	fs.kd.Remove(s.Loc.id)
+	delete(fs.kdSets, s.Loc.id)
 }
 
-// insert adds a set whose bucket is already known (refined fragments stay
-// in their parent's piece) or registers it in the K-d container.
-func (rc *RayCast) insert(fs *fieldState, s *eqset) {
+// insert stores s under a fresh id: in its bucket, already set in s.Loc,
+// in DCP mode (refined fragments stay in their parent's piece), else in
+// the K-d container.
+func (fs *fieldState) insert(s *eqset) {
+	s.Loc.id = fs.nextID
+	fs.nextID++
 	if fs.dcp != nil {
-		s.id = fs.nextID
-		fs.nextID++
-		fs.buckets[s.bucket] = append(fs.buckets[s.bucket], s)
-		rc.opts.Probe.Touch(rc.opts.Owner(s.pts), 1)
-		return
+		fs.buckets[s.Loc.bucket] = append(fs.buckets[s.Loc.bucket], s)
+	} else {
+		s.Loc.bucket = -1
+		fs.kdSets[s.Loc.id] = s
+		fs.kd.Insert(s.Loc.id, s.Pts.Bounds())
 	}
-	rc.kdInsert(fs, s)
+	fs.rc.opts.Probe.Touch(fs.rc.opts.Owner(s.Pts), 1)
 }
 
-// refine splits partially-overlapping sets and returns those fully inside
-// sp, exactly as Warnock's refine (Figure 9) but over the bucketed store.
-func (rc *RayCast) refine(fs *fieldState, sp index.Space) []*eqset {
-	span := rc.opts.Spans.Begin("raycast.refine", "analysis")
-	defer span.End()
-	var inside []*eqset
-	for _, s := range rc.candidates(fs, sp) {
-		rc.stats.OverlapTests++
-		if sp.Covers(s.pts) {
-			// Fault plane: force a refinement the analysis did not need.
-			// Both fragments carry the full history, so the split is
-			// semantics-preserving — it only breaks code that secretly
-			// depends on covered sets staying whole.
-			if vol := s.pts.Volume(); vol > 1 {
-				if fired, v := rc.opts.Faults.FireValue(fault.EqSplit, vol); fired {
-					a, b := s.pts.SplitAt(1 + int64(v%uint64(vol-1)))
-					in := &eqset{pts: a, hist: append([]core.Entry(nil), s.hist...), bucket: s.bucket}
-					out := &eqset{pts: b, hist: s.hist, bucket: s.bucket}
-					s.dead = true
-					rc.remove(fs, s)
-					rc.insert(fs, in)
-					rc.insert(fs, out)
-					rc.stats.SetsCreated += 2
-					rc.opts.Recorder.Log(recorder.KindEqSplit, 2, int64(len(s.hist)))
-					inside = append(inside, in, out)
-					continue
-				}
-			}
-			inside = append(inside, s)
-			continue
-		}
-		in := &eqset{pts: s.pts.Intersect(sp), hist: append([]core.Entry(nil), s.hist...), bucket: s.bucket}
-		out := &eqset{pts: s.pts.Subtract(sp), hist: s.hist, bucket: s.bucket}
-		s.dead = true
-		rc.remove(fs, s)
-		rc.insert(fs, in)
-		rc.insert(fs, out)
-		rc.stats.SetsCreated += 2
-		rc.opts.Recorder.Log(recorder.KindEqSplit, 2, int64(len(s.hist)))
-		inside = append(inside, in)
-	}
-	return inside
+// Split implements core.EqIndex: the fragments stay in s's bucket.
+//
+// confined to analyzer
+func (fs *fieldState) Split(s, in, out *eqset, _ bool) {
+	in.Loc.bucket, out.Loc.bucket = s.Loc.bucket, s.Loc.bucket
+	fs.remove(s)
+	fs.insert(in)
+	fs.insert(out)
 }
 
 // maybeMigrate tracks which disjoint-complete partition recent launches
 // use and re-buckets when the application has durably switched (§7.1).
-func (rc *RayCast) maybeMigrate(fs *fieldState, r *region.Region) {
+func (fs *fieldState) maybeMigrate(r *region.Region) {
 	if fs.dcp == nil {
 		return
 	}
-	p := rc.rootPartitionOf(r)
+	p := fs.rc.rootPartitionOf(r)
 	if p == nil || !p.DisjointComplete() {
 		return
 	}
@@ -380,11 +356,7 @@ func (rc *RayCast) maybeMigrate(fs *fieldState, r *region.Region) {
 	}
 	fs.misses++
 	if fs.misses >= migrateAfter {
-		var all []*eqset
-		for _, b := range fs.buckets {
-			all = append(all, b...)
-		}
-		rc.installAccel(fs, p, all)
+		fs.installAccel(p, fs.sets())
 	}
 }
 
@@ -393,144 +365,37 @@ func (rc *RayCast) maybeMigrate(fs *fieldState, r *region.Region) {
 // payloads abandon the current partition for the K-d fallback, even ones
 // re-bucket against the same partition — exercising the §7.1 migration
 // path under an adversarial schedule.
-func (rc *RayCast) forceMigrate(fs *fieldState, payload uint64) {
-	var all []*eqset
-	if fs.dcp == nil {
-		for _, id := range sortedIntKeys(fs.kdSets) {
-			all = append(all, fs.kdSets[id])
-		}
-		rc.installAccel(fs, nil, all)
+func (fs *fieldState) forceMigrate(payload uint64) {
+	if fs.dcp == nil || payload&1 == 1 {
+		fs.installAccel(nil, fs.sets())
 		return
 	}
-	for _, b := range fs.buckets {
-		all = append(all, b...)
-	}
-	if payload&1 == 1 {
-		rc.installAccel(fs, nil, all)
-	} else {
-		rc.installAccel(fs, fs.dcp, all)
-	}
+	fs.installAccel(fs.dcp, fs.sets())
 }
 
-// Analyze implements core.Analyzer.
+// Write implements core.EqIndex with dominating_write (Figure 11): the
+// write's region becomes a fresh equivalence set (split at piece
+// boundaries in DCP mode) and every occluded set is pruned. inside holds
+// the occluded sets: every set overlapping the write's region is covered
+// by it after refinement.
 //
 // confined to analyzer
-func (rc *RayCast) Analyze(t *core.Task) *core.Result {
-	span := rc.opts.Spans.Begin("raycast.analyze", "analysis")
-	defer span.End()
-	rc.stats.Launches++
-	var deps []int
-	plans := make([][]core.Visible, len(t.Reqs))
-
-	insides := make([][]*eqset, len(t.Reqs))
-	for ri, req := range t.Reqs {
-		if req.Region.Space.IsEmpty() {
-			// No points: nothing can interfere and nothing materializes.
-			// Common under sharding, where a requirement's restriction to
-			// most atoms is empty, and for clipped boundary halos.
-			continue
-		}
-		fs := rc.fieldFor(req.Field, req.Region)
-		rc.maybeMigrate(fs, req.Region)
-		if fired, v := rc.opts.Faults.FireValue(fault.EqMigrate, int64(t.ID)); fired {
-			rc.forceMigrate(fs, v)
-		}
-		inside := rc.refine(fs, req.Region.Space)
-		insides[ri] = inside
-		var plan []core.Visible
-		for _, s := range inside {
-			// Charge one interference test per privilege epoch, as in
-			// Legion's user lists (see warnock.privRuns).
-			rc.opts.Probe.Touch(rc.opts.Owner(s.pts), privRuns(s.hist))
-			for _, e := range s.hist {
-				rc.stats.EntriesScanned++
-				if privilege.Interferes(e.Priv, req.Priv) {
-					deps = append(deps, e.Task)
-					rc.stats.DepsReported++
-					if rc.opts.Prov != nil && e.Task != core.InitialTask {
-						rc.opts.Prov.AddReason(core.EdgeReason{
-							Src: e.Task, Dst: t.ID, Kind: core.ReasonRegion, Analyzer: "raycast",
-							SrcReq: e.Req, DstReq: ri, Field: req.Field,
-							SrcPriv: e.Priv, DstPriv: req.Priv, Overlap: s.pts.Bounds(), Trace: -1,
-						})
-					}
-				}
-				if !req.Priv.IsReduce() && e.Priv.Mutates() {
-					plan = append(plan, core.Visible{Task: e.Task, Req: e.Req, Priv: e.Priv, Pts: s.pts})
-				}
-			}
-		}
-		if req.Priv.IsReduce() {
-			plan = nil
-		}
-		plans[ri] = plan
-	}
-
-	// commit: writes dominate (create one coalesced set per overlapped
-	// bucket and prune everything they occlude); reads and reductions
-	// append to each constituent set.
-	for ri, req := range t.Reqs {
-		if req.Region.Space.IsEmpty() {
-			continue
-		}
-		fs := rc.fieldFor(req.Field, req.Region)
-		e := core.Entry{Task: t.ID, Req: ri, Priv: req.Priv, Pts: req.Region.Space}
-		// Reuse the constituent sets from materialize unless another
-		// requirement of this task refined or pruned them since.
-		inside := insides[ri]
-		for _, s := range inside {
-			if s.dead {
-				inside = rc.refine(fs, req.Region.Space)
-				break
-			}
-		}
-		if req.Priv.IsWrite() {
-			rc.dominatingWrite(fs, req.Region.Space, e, inside)
-			continue
-		}
-		for _, s := range inside {
-			se := e
-			se.Pts = s.pts
-			s.hist = append(s.hist, se)
-			rc.opts.Probe.Touch(rc.opts.Owner(s.pts), 1)
-		}
-	}
-
-	return &core.Result{Deps: core.DedupDeps(deps), Plans: plans}
-}
-
-// privRuns counts maximal runs of identical privileges in a history — the
-// epochs a scan actually tests for interference.
-func privRuns(hist []core.Entry) int64 {
-	var runs int64
-	for i, e := range hist {
-		if i == 0 || !e.Priv.Same(hist[i-1].Priv) {
-			runs++
-		}
-	}
-	return runs
-}
-
-// dominatingWrite implements Figure 11: the write's region becomes a fresh
-// equivalence set (split at piece boundaries in DCP mode) and every
-// occluded set is pruned. inside holds the occluded sets, found during the
-// materialize-phase refine: every set overlapping the write's region is
-// covered by it after refinement.
-func (rc *RayCast) dominatingWrite(fs *fieldState, sp index.Space, e core.Entry, inside []*eqset) {
+func (fs *fieldState) Write(e core.Entry, inside []*eqset) {
+	rc := fs.rc
 	span := rc.opts.Spans.Begin("raycast.coalesce", "analysis")
 	defer span.End()
 	rc.opts.Recorder.Log(recorder.KindEqCoalesce, int64(len(inside)), 0)
 	buckets := make(map[int]index.Space)
 	for _, s := range inside {
-		s.dead = true
-		rc.remove(fs, s)
+		s.Dead = true
+		fs.remove(s)
 		rc.stats.SetsCoalesced++
-		if s.bucket >= 0 {
-			cur, ok := buckets[s.bucket]
+		if bi := s.Loc.bucket; bi >= 0 {
+			cur, ok := buckets[bi]
 			if !ok {
-				cur = index.Empty(sp.Dim())
+				cur = index.Empty(e.Pts.Dim())
 			}
-			buckets[s.bucket] = cur.Union(s.pts)
+			buckets[bi] = cur.Union(s.Pts)
 		}
 	}
 	if fs.dcp != nil {
@@ -542,7 +407,7 @@ func (rc *RayCast) dominatingWrite(fs *fieldState, sp index.Space, e core.Entry,
 			part := buckets[bi]
 			se := e
 			se.Pts = part
-			ns := &eqset{id: fs.nextID, pts: part, hist: []core.Entry{se}, bucket: bi}
+			ns := &eqset{Pts: part, Hist: []core.Entry{se}, Loc: loc{id: fs.nextID, bucket: bi}}
 			fs.nextID++
 			fs.buckets[bi] = append(fs.buckets[bi], ns)
 			rc.stats.SetsCreated++
@@ -551,8 +416,7 @@ func (rc *RayCast) dominatingWrite(fs *fieldState, sp index.Space, e core.Entry,
 		}
 		return
 	}
-	ns := &eqset{pts: sp, hist: []core.Entry{e}}
-	rc.kdInsert(fs, ns)
+	fs.insert(&eqset{Pts: e.Pts, Hist: []core.Entry{e}})
 	rc.stats.SetsCreated++
 }
 

@@ -15,18 +15,17 @@ package warnock
 
 import (
 	"visibility/internal/core"
-	"visibility/internal/fault"
 	"visibility/internal/field"
 	"visibility/internal/index"
-	"visibility/internal/obs/recorder"
-	"visibility/internal/privilege"
 	"visibility/internal/region"
 )
 
-// Warnock is the equivalence-set coherence analyzer of §6.
+// Warnock is the equivalence-set coherence analyzer of §6: the shared
+// equivalence-set engine over a refinement tree that memoizes lookups.
 type Warnock struct {
 	tree *region.Tree
 	opts core.Options
+	eng  *core.EqEngine[*bnode]
 	// state holds the per-field refinement trees and memo tables, mutated
 	// by every Analyze with no lock: the analyzer runs on exactly one
 	// goroutine (the submit side, §3.2).
@@ -49,7 +48,9 @@ type Warnock struct {
 
 // New creates a Warnock analyzer for tree.
 func New(tree *region.Tree, opts core.Options) *Warnock {
-	return &Warnock{tree: tree, opts: opts.Normalize(), state: make(map[field.ID]*fieldState)}
+	w := &Warnock{tree: tree, opts: opts.Normalize(), state: make(map[field.ID]*fieldState)}
+	w.eng = core.NewEqEngine[*bnode](w.Name(), w.opts, &w.stats, w)
+	return w
 }
 
 // Name implements core.Analyzer.
@@ -60,29 +61,16 @@ func (w *Warnock) Name() string { return "warnock" }
 // confined to analyzer
 func (w *Warnock) Stats() *core.Stats { return &w.stats }
 
+// Analyze implements core.Analyzer.
+//
+// confined to analyzer
+func (w *Warnock) Analyze(t *core.Task) *core.Result { return w.eng.Analyze(t) }
+
 // EquivalenceSets returns the number of live (leaf) equivalence sets for
 // field f, for tests and the experiment harness.
 //
 // confined to analyzer
-func (w *Warnock) EquivalenceSets(f field.ID) int {
-	fs, ok := w.state[f]
-	if !ok {
-		return 1 // the initial, untouched root set
-	}
-	n := 0
-	var walk func(*bnode)
-	walk = func(b *bnode) {
-		if b.set != nil {
-			n++
-			return
-		}
-		for _, c := range b.children {
-			walk(c)
-		}
-	}
-	walk(fs.root)
-	return n
-}
+func (w *Warnock) EquivalenceSets(f field.ID) int { return len(w.SetSpaces(f)) }
 
 // SetSpaces returns the point sets of the live equivalence sets for field
 // f, for invariant checks in tests.
@@ -97,7 +85,7 @@ func (w *Warnock) SetSpaces(f field.ID) []index.Space {
 	var walk func(*bnode)
 	walk = func(b *bnode) {
 		if b.set != nil {
-			out = append(out, b.set.pts)
+			out = append(out, b.set.Pts)
 			return
 		}
 		for _, c := range b.children {
@@ -108,12 +96,7 @@ func (w *Warnock) SetSpaces(f field.ID) []index.Space {
 	return out
 }
 
-// eqset is one equivalence set: a point set and the history of operations
-// relevant to every point of it.
-type eqset struct {
-	pts  index.Space
-	hist []core.Entry
-}
+type eqset = core.EqSet[*bnode]
 
 // bnode is a node of the refinement BVH. Leaves hold live equivalence sets;
 // interior nodes record past refinements and are immutable once refined,
@@ -125,46 +108,50 @@ type eqset struct {
 // reported through Probe.Fetch keyed by the node's id.
 type bnode struct {
 	pts      index.Space
-	set      *eqset // non-nil exactly at leaves
+	set      *eqset // non-nil exactly at leaves; set.Loc is the leaf
 	children []*bnode
 	owner    int
 	id       int64
 }
 
+// fieldState is one field's refinement tree, the core.EqIndex of Warnock.
 type fieldState struct {
+	w    *Warnock
 	root *bnode
-	memo map[int][]*bnode // region ID → nodes covering it at last lookup
+	memo map[int][]*eqset // region ID → sets covering it at last lookup
 }
 
-func (w *Warnock) fieldFor(f field.ID) *fieldState {
-	fs, ok := w.state[f]
+// Index implements core.EqFields.
+//
+// confined to analyzer
+func (w *Warnock) Index(_ *core.Task, req core.Req) core.EqIndex[*bnode] {
+	fs, ok := w.state[req.Field]
 	if !ok {
 		root := w.tree.Root.Space
-		w.nextToken++
-		fs = &fieldState{
-			root: &bnode{
-				pts:   root,
-				set:   &eqset{pts: root, hist: []core.Entry{core.SeedEntry(root)}},
-				owner: w.opts.Owner(root),
-				id:    w.nextToken,
-			},
-			memo: make(map[int][]*bnode),
-		}
-		w.state[f] = fs
+		fs = &fieldState{w: w, memo: make(map[int][]*eqset)}
+		fs.root = w.leaf(&eqset{Pts: root, Hist: []core.Entry{core.SeedEntry(root)}})
+		w.state[req.Field] = fs
 	}
 	return fs
 }
 
-// lookup returns the leaf nodes whose sets overlap sp, descending from the
-// memoized nodes for the region (or the root on first use).
-func (w *Warnock) lookup(fs *fieldState, regionID int, sp index.Space) []*bnode {
+// leaf creates the refinement-tree leaf holding s.
+func (w *Warnock) leaf(s *eqset) *bnode {
+	w.nextToken++
+	s.Loc = &bnode{pts: s.Pts, set: s, owner: w.opts.Owner(s.Pts), id: w.nextToken}
+	return s.Loc
+}
+
+// Lookup implements core.EqIndex: it returns the leaf sets overlapping r's
+// points, descending from the sets memoized for r (or the root on first
+// use).
+//
+// confined to analyzer
+func (fs *fieldState) Lookup(r *region.Region) []*eqset {
+	w := fs.w
 	span := w.opts.Spans.Begin("warnock.bvh_query", "analysis")
 	defer span.End()
-	start, ok := fs.memo[regionID]
-	if !ok || w.DisableMemo {
-		start = []*bnode{fs.root}
-	}
-	var leaves []*bnode
+	var leaves []*eqset
 	var descend func(*bnode)
 	descend = func(b *bnode) {
 		w.stats.BVHVisited++
@@ -182,197 +169,77 @@ func (w *Warnock) lookup(fs *fieldState, regionID int, sp index.Space) []*bnode 
 			w.opts.Probe.Visit(ops)
 		}
 		w.stats.OverlapTests++
-		if !b.pts.Overlaps(sp) {
+		if !b.pts.Overlaps(r.Space) {
 			return
 		}
 		if b.set != nil {
-			leaves = append(leaves, b)
+			leaves = append(leaves, b.set)
 			return
 		}
 		for _, c := range b.children {
 			descend(c)
 		}
 	}
-	for _, b := range start {
-		descend(b)
+	if start, ok := fs.memo[r.ID]; ok && !w.DisableMemo {
+		// A memoized set's leaf may have been refined since: the descent
+		// continues from it to the current leaves.
+		for _, s := range start {
+			descend(s.Loc)
+		}
+	} else {
+		descend(fs.root)
 	}
-	fs.memo[regionID] = leaves
+	fs.memo[r.ID] = leaves
 	return leaves
 }
 
-// privRuns counts maximal runs of identical privileges in a history — the
-// epochs a scan actually tests for interference.
-func privRuns(hist []core.Entry) int64 {
-	var runs int64
-	for i, e := range hist {
-		if i == 0 || !e.Priv.Same(hist[i-1].Priv) {
-			runs++
-		}
-	}
-	return runs
-}
-
-// refine splits every equivalence set partially overlapping sp into
-// inside/outside halves (Figure 9, refine), then returns the leaves fully
-// inside sp.
-func (w *Warnock) refine(fs *fieldState, regionID int, sp index.Space) []*bnode {
-	span := w.opts.Spans.Begin("warnock.refine", "analysis")
-	defer span.End()
-	leaves := w.lookup(fs, regionID, sp)
-	var inside []*bnode
-	for _, b := range leaves {
-		w.stats.SetsVisited++
-		s := b.set
-		w.opts.Probe.Touch(w.opts.Owner(s.pts), 1)
-		w.stats.OverlapTests++
-		if sp.Covers(s.pts) {
-			// Fault plane: force a refinement the analysis did not need.
-			// Both fragments carry the full history, so the split is
-			// semantics-preserving — it only breaks code that secretly
-			// depends on covered sets staying whole.
-			if vol := s.pts.Volume(); vol > 1 {
-				if fired, v := w.opts.Faults.FireValue(fault.EqSplit, vol); fired {
-					fp, rp := s.pts.SplitAt(1 + int64(v%uint64(vol-1)))
-					w.nextToken++
-					inLeaf := &bnode{pts: fp, set: &eqset{pts: fp, hist: append([]core.Entry(nil), s.hist...)}, owner: w.opts.Owner(fp), id: w.nextToken}
-					w.nextToken++
-					outLeaf := &bnode{pts: rp, set: &eqset{pts: rp, hist: s.hist}, owner: w.opts.Owner(rp), id: w.nextToken}
-					b.set = nil
-					b.children = []*bnode{inLeaf, outLeaf}
-					w.nextToken++
-					b.id = w.nextToken
-					w.stats.SetsCreated += 2
-					w.opts.Recorder.Log(recorder.KindEqSplit, 2, int64(len(s.hist)))
-					inside = append(inside, inLeaf, outLeaf)
-					continue
-				}
-			}
-			inside = append(inside, b)
-			continue
-		}
-		in := s.pts.Intersect(sp)
-		out := s.pts.Subtract(sp)
-		// Lookup guarantees overlap, and non-containment guarantees a
-		// remainder, so both halves are non-empty.
-		w.nextToken++
-		inLeaf := &bnode{pts: in, set: &eqset{pts: in, hist: append([]core.Entry(nil), s.hist...)}, owner: w.opts.Owner(in), id: w.nextToken}
-		w.nextToken++
-		outLeaf := &bnode{pts: out, set: &eqset{pts: out, hist: s.hist}, owner: w.opts.Owner(out), id: w.nextToken}
-		b.set = nil
-		b.children = []*bnode{inLeaf, outLeaf}
-		// Refinement replaces this node's metadata: caches of the old
-		// version are invalid, so it gets a fresh replication token and
-		// every analyzing node must fetch it again (§6.1's immutability
-		// begins only after the refinement).
-		w.nextToken++
-		b.id = w.nextToken
-		w.stats.SetsCreated += 2
-		w.opts.Recorder.Log(recorder.KindEqSplit, 2, int64(len(s.hist)))
-		w.opts.Probe.Touch(w.opts.Owner(s.pts), 2)
-		inside = append(inside, inLeaf)
-	}
-	// The memo currently holds pre-refinement leaves; refresh it to the
-	// new leaves overlapping the region.
-	refreshed := make([]*bnode, 0, len(inside))
-	for _, b := range leaves {
-		if b.set != nil {
-			refreshed = append(refreshed, b)
-		} else {
-			for _, c := range b.children {
-				if c.pts.Overlaps(sp) {
-					refreshed = append(refreshed, c)
-				}
-			}
-		}
-	}
-	fs.memo[regionID] = refreshed
-	return inside
-}
-
-// Analyze implements core.Analyzer.
+// Examine implements core.EqIndex: every leaf is distributed state, so
+// looking at it is a touch of its owner.
 //
 // confined to analyzer
-func (w *Warnock) Analyze(t *core.Task) *core.Result {
-	span := w.opts.Spans.Begin("warnock.analyze", "analysis")
-	defer span.End()
-	w.stats.Launches++
-	var deps []int
-	plans := make([][]core.Visible, len(t.Reqs))
+func (fs *fieldState) Examine(s *eqset) {
+	fs.w.stats.SetsVisited++
+	fs.w.opts.Probe.Touch(fs.w.opts.Owner(s.Pts), 1)
+}
 
-	// materialize: refine, then paint each constituent equivalence set.
-	insides := make([][]*bnode, len(t.Reqs))
-	for ri, req := range t.Reqs {
-		if req.Region.Space.IsEmpty() {
-			// No points: nothing can interfere and nothing materializes.
-			// Common under sharding, where a requirement's restriction to
-			// most atoms is empty, and for clipped boundary halos.
-			continue
-		}
-		fs := w.fieldFor(req.Field)
-		inside := w.refine(fs, req.Region.ID, req.Region.Space)
-		insides[ri] = inside
-		var plan []core.Visible
-		for _, b := range inside {
-			s := b.set
-			// Consecutive entries with one privilege form an epoch (e.g.
-			// N same-operator reductions): interference is decided once
-			// per epoch, as in Legion's user lists, so the charged work
-			// is the number of privilege runs, not entries.
-			w.opts.Probe.Touch(w.opts.Owner(s.pts), privRuns(s.hist))
-			for _, e := range s.hist {
-				w.stats.EntriesScanned++
-				// Every entry is relevant to the whole set: no spatial
-				// test is needed, only privilege interference.
-				if privilege.Interferes(e.Priv, req.Priv) {
-					deps = append(deps, e.Task)
-					w.stats.DepsReported++
-					if w.opts.Prov != nil && e.Task != core.InitialTask {
-						w.opts.Prov.AddReason(core.EdgeReason{
-							Src: e.Task, Dst: t.ID, Kind: core.ReasonRegion, Analyzer: "warnock",
-							SrcReq: e.Req, DstReq: ri, Field: req.Field,
-							SrcPriv: e.Priv, DstPriv: req.Priv, Overlap: s.pts.Bounds(), Trace: -1,
-						})
-					}
-				}
-				if !req.Priv.IsReduce() && e.Priv.Mutates() {
-					plan = append(plan, core.Visible{Task: e.Task, Req: e.Req, Priv: e.Priv, Pts: s.pts})
-				}
-			}
-		}
-		if req.Priv.IsReduce() {
-			plan = nil
-		}
-		plans[ri] = plan
+// Split implements core.EqIndex: the leaf of s becomes an interior node
+// over new leaves for in and out.
+//
+// confined to analyzer
+func (fs *fieldState) Split(s, in, out *eqset, forced bool) {
+	w := fs.w
+	b := s.Loc
+	b.set = nil
+	b.children = []*bnode{w.leaf(in), w.leaf(out)}
+	// Refinement replaces this node's metadata: caches of the old version
+	// are invalid, so it gets a fresh replication token and every
+	// analyzing node must fetch it again (§6.1's immutability begins only
+	// after the refinement).
+	w.nextToken++
+	b.id = w.nextToken
+	// Only a refinement the launch needed pays for the split itself; a
+	// fault-plane split is not charged.
+	if !forced {
+		w.opts.Probe.Touch(w.opts.Owner(s.Pts), 2)
 	}
+}
 
-	// commit: record the operation in each constituent set; writes clear
-	// the prior history (Figure 9 lines 30-31).
-	for ri, req := range t.Reqs {
-		if req.Region.Space.IsEmpty() {
-			continue
-		}
-		fs := w.fieldFor(req.Field)
-		// Reuse the constituent sets found during materialize; another
-		// requirement of this task may have refined them since (same
-		// field, overlapping region), in which case look up again.
-		inside := insides[ri]
-		for _, b := range inside {
-			if b.set == nil {
-				inside = w.refine(fs, req.Region.ID, req.Region.Space)
-				break
-			}
-		}
-		for _, b := range inside {
-			s := b.set
-			e := core.Entry{Task: t.ID, Req: ri, Priv: req.Priv, Pts: s.pts}
-			if req.Priv.IsWrite() {
-				s.hist = append(s.hist[:0:0], e)
-			} else {
-				s.hist = append(s.hist, e)
-			}
-			w.opts.Probe.Touch(w.opts.Owner(s.pts), 1)
-		}
+// Refined implements core.EqIndex: the memo, which holds the
+// pre-refinement leaves, moves to the new leaves overlapping r.
+//
+// confined to analyzer
+func (fs *fieldState) Refined(r *region.Region, inside []*eqset) {
+	fs.memo[r.ID] = inside
+}
+
+// Write implements core.EqIndex: a write clears the prior history of every
+// set it covers (Figure 9 lines 30-31).
+//
+// confined to analyzer
+func (fs *fieldState) Write(e core.Entry, inside []*eqset) {
+	for _, s := range inside {
+		e.Pts = s.Pts
+		s.Hist = append(s.Hist[:0:0], e)
+		fs.w.opts.Probe.Touch(fs.w.opts.Owner(s.Pts), 1)
 	}
-
-	return &core.Result{Deps: core.DedupDeps(deps), Plans: plans}
 }
