@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -289,5 +290,93 @@ func Test3DSpaces(t *testing.T) {
 	}
 	if a.Bounds().Dim != 3 {
 		t.Error("3-D bounds dim wrong")
+	}
+}
+
+func TestKeyFormat(t *testing.T) {
+	for _, c := range []struct {
+		s    Space
+		want string
+	}{
+		{Space{}, "d0"},
+		{Empty(2), "d2"},
+		{FromRect(geometry.R1(0, 5)), "d1;0,5,"},
+		{FromRects(1, geometry.R1(-3, -1), geometry.R1(10, 12)), "d1;-3,-1,;10,12,"},
+		{FromRect(geometry.R1(math.MinInt64, math.MaxInt64)), "d1;-9223372036854775808,9223372036854775807,"},
+		{FromRects(2, geometry.R2(0, 0, 9, 4), geometry.R2(0, 5, 4, 9)), "d2;0,9,0,4,;0,4,5,9,"},
+		{FromRects(3, geometry.R3(1, 2, 3, 4, 5, 6), geometry.R3(0, 0, 7, 0, 0, 7)), "d3;1,4,2,5,3,6,;0,0,0,0,7,7,"},
+	} {
+		if got := c.s.Key(); got != c.want {
+			t.Errorf("Key() = %q, want %q", got, c.want)
+		}
+	}
+}
+
+// circuitSpaces returns the shape the circuit app hands the analyzers: one
+// piece's 4096-point node block and a ghost set of 40 scattered points,
+// 16 in each of two neighbouring blocks (this one included) and 8 across
+// 32 pieces.
+func circuitSpaces() (block, ghost Space) {
+	const piece = 4096
+	rng := rand.New(rand.NewSource(11))
+	var ps []geometry.Point
+	for _, base := range []int64{0, piece} {
+		for k := 0; k < 16; k++ {
+			ps = append(ps, geometry.Pt1(base+rng.Int63n(piece)))
+		}
+	}
+	for k := 0; k < 8; k++ {
+		ps = append(ps, geometry.Pt1(rng.Int63n(32*piece)))
+	}
+	return FromRect(geometry.R1(piece, 2*piece-1)), FromPoints(1, ps...)
+}
+
+func BenchmarkSubtract1D(b *testing.B) {
+	block, ghost := circuitSpaces()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = block.Subtract(ghost)
+	}
+}
+
+func BenchmarkIntersect1D(b *testing.B) {
+	block, ghost := circuitSpaces()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = block.Intersect(ghost)
+	}
+}
+
+// BenchmarkCovers1D asks whether the block with its ghost points cut out
+// covers itself: a full walk of both lists, answered true.
+func BenchmarkCovers1D(b *testing.B) {
+	block, ghost := circuitSpaces()
+	holed := block.Subtract(ghost)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !holed.Covers(holed) {
+			b.Fatal("a space does not cover itself")
+		}
+	}
+}
+
+// BenchmarkOverlaps1D asks whether the block with its ghost points cut
+// out overlaps the ghost set: a full walk of both lists, answered false.
+func BenchmarkOverlaps1D(b *testing.B) {
+	block, ghost := circuitSpaces()
+	holed := block.Subtract(ghost)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if holed.Overlaps(ghost) {
+			b.Fatal("the holed block overlaps the ghost set")
+		}
+	}
+}
+
+func BenchmarkUnion1D(b *testing.B) {
+	block, ghost := circuitSpaces()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = block.Union(ghost)
 	}
 }
